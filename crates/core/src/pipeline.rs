@@ -225,6 +225,7 @@ impl Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conflict::{assert_candidate_checks_are_exact, assert_reduction_is_exact};
     use ipa_spec::{AppSpecBuilder, ConvergencePolicy};
 
     fn tournament_mini() -> AppSpec {
@@ -260,6 +261,60 @@ mod tests {
             })
             .build()
             .unwrap()
+    }
+
+    /// `#enrolled(*, t) <= Capacity`: a numeric invariant.
+    fn capacity_spec() -> AppSpec {
+        AppSpecBuilder::new("cap")
+            .sort("Player")
+            .sort("Tournament")
+            .predicate_bool("enrolled", &["Player", "Tournament"])
+            .constant("Capacity", 10)
+            .invariant_str("forall(Tournament: t) :- #enrolled(*, t) <= Capacity")
+            .operation("enroll", &[("p", "Player"), ("t", "Tournament")], |op| {
+                op.set_true("enrolled", &["p", "t"])
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// Mutual exclusion with add-wins on both sides.
+    fn mutex_spec() -> AppSpec {
+        AppSpecBuilder::new("mutex")
+            .sort("Tournament")
+            .predicate_bool("active", &["Tournament"])
+            .predicate_bool("finished", &["Tournament"])
+            .rule("active", ConvergencePolicy::AddWins)
+            .rule("finished", ConvergencePolicy::AddWins)
+            .invariant_str("forall(Tournament: t) :- not(active(t) and finished(t))")
+            .operation("begin", &[("t", "Tournament")], |op| {
+                op.set_true("active", &["t"])
+            })
+            .operation("finish", &[("t", "Tournament")], |op| {
+                op.set_true("finished", &["t"]).set_false("active", &["t"])
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// A count bound on a large constant.
+    fn large_cap_spec() -> AppSpec {
+        AppSpecBuilder::new("c")
+            .sort("T")
+            .predicate_bool("p", &["T"])
+            .constant("Cap", 40)
+            .invariant_str("forall(T: t) :- #p(*) <= Cap")
+            .operation("add", &[("t", "T")], |op| op.set_true("p", &["t"]))
+            .build()
+            .unwrap()
+    }
+
+    /// One added effect at most: too few to separate `mutex_spec`'s pair.
+    fn one_effect() -> AnalysisConfig {
+        AnalysisConfig {
+            max_added_effects: 1,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -298,17 +353,7 @@ mod tests {
 
     #[test]
     fn numeric_invariants_route_to_compensations() {
-        let spec = AppSpecBuilder::new("cap")
-            .sort("Player")
-            .sort("Tournament")
-            .predicate_bool("enrolled", &["Player", "Tournament"])
-            .constant("Capacity", 10)
-            .invariant_str("forall(Tournament: t) :- #enrolled(*, t) <= Capacity")
-            .operation("enroll", &[("p", "Player"), ("t", "Tournament")], |op| {
-                op.set_true("enrolled", &["p", "t"])
-            })
-            .build()
-            .unwrap();
+        let spec = capacity_spec();
         let report = Analyzer::for_spec(&spec).analyze(&spec).unwrap();
         assert_eq!(report.numeric.len(), 1);
         assert_eq!(report.compensations.len(), 1);
@@ -320,26 +365,7 @@ mod tests {
         // Mutual exclusion with add-wins on both sides and only 1 effect
         // allowed: active(t) and finished(t) cannot be separated by adding
         // one boolean effect, so the pair is flagged.
-        let spec = AppSpecBuilder::new("mutex")
-            .sort("Tournament")
-            .predicate_bool("active", &["Tournament"])
-            .predicate_bool("finished", &["Tournament"])
-            .rule("active", ConvergencePolicy::AddWins)
-            .rule("finished", ConvergencePolicy::AddWins)
-            .invariant_str("forall(Tournament: t) :- not(active(t) and finished(t))")
-            .operation("begin", &[("t", "Tournament")], |op| {
-                op.set_true("active", &["t"])
-            })
-            .operation("finish", &[("t", "Tournament")], |op| {
-                op.set_true("finished", &["t"]).set_false("active", &["t"])
-            })
-            .build()
-            .unwrap();
-        let cfg = AnalysisConfig {
-            max_added_effects: 1,
-            ..Default::default()
-        };
-        let report = Analyzer::new(cfg).analyze(&spec).unwrap();
+        let report = Analyzer::new(one_effect()).analyze(&mutex_spec()).unwrap();
         // Either a repair exists (rem-wins style) or the pair is flagged —
         // with add-wins rules on both predicates there is no 1-effect fix.
         assert!(report.converged);
@@ -350,15 +376,56 @@ mod tests {
 
     #[test]
     fn tuned_config_covers_constants() {
-        let spec = AppSpecBuilder::new("c")
-            .sort("T")
-            .predicate_bool("p", &["T"])
-            .constant("Cap", 40)
-            .invariant_str("forall(T: t) :- #p(*) <= Cap")
-            .operation("add", &[("t", "T")], |op| op.set_true("p", &["t"]))
-            .build()
-            .unwrap();
-        let cfg = AnalysisConfig::tuned_for(&spec);
+        let cfg = AnalysisConfig::tuned_for(&large_cap_spec());
         assert!(cfg.numeric_bound >= 44);
+    }
+
+    #[test]
+    fn symmetry_reduction_matches_the_full_product() {
+        for (spec, cfg) in [
+            (tournament_mini(), AnalysisConfig::default()),
+            (capacity_spec(), AnalysisConfig::tuned_for(&capacity_spec())),
+            (mutex_spec(), one_effect()),
+            (
+                large_cap_spec(),
+                AnalysisConfig::tuned_for(&large_cap_spec()),
+            ),
+        ] {
+            assert_reduction_is_exact(&spec, &cfg);
+        }
+    }
+
+    #[test]
+    fn symmetry_reduction_matches_the_full_product_on_the_paper_apps() {
+        use ipa_apps::{ticket, tournament, tpc, twitter};
+        for spec in [
+            tournament::tournament_spec(),
+            twitter::twitter_spec(false),
+            ticket::ticket_spec(),
+            tpc::tpc_spec(),
+        ] {
+            let cfg = AnalysisConfig::tuned_for(&spec);
+            let report = Analyzer::new(cfg.clone()).analyze(&spec).unwrap();
+            assert_reduction_is_exact(&spec, &cfg);
+            assert_reduction_is_exact(&report.patched, &cfg);
+            // Every pair the pipeline repaired, on the spec it repaired it
+            // in; flagged pairs were tried on one of those specs too.
+            let mut stage = spec.clone();
+            for step in 0..=report.applied.len() {
+                let flagged = report.flagged.iter().map(|f| (&f.op1, &f.op2));
+                let repaired = report
+                    .applied
+                    .get(step)
+                    .map(|a| (&a.witness.op1, &a.witness.op2));
+                for (o1, o2) in flagged.chain(repaired) {
+                    let op = |name: &Symbol| stage.operation(name.as_str()).unwrap();
+                    assert_candidate_checks_are_exact(&stage, &cfg, op(o1), op(o2));
+                }
+                if let Some(a) = report.applied.get(step) {
+                    stage.replace_operation(a.resolution.op1.clone());
+                    stage.replace_operation(a.resolution.op2.clone());
+                }
+            }
+        }
     }
 }

@@ -98,3 +98,77 @@ fn flagged_pairs_get_coordination_plans() {
         assert_ne!(r1, r2, "different tournaments never contend");
     }
 }
+
+/// 64-bit FNV-1a: a hash whose value is fixed by its definition, not by
+/// the standard library's hasher of the day.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn witness_line(kind: &str, w: &ipa::analysis::ConflictWitness, detail: &str) -> String {
+    format!(
+        "{kind} {}{detail} pre={:016x} merged={:016x}",
+        w.label(),
+        fnv1a(&format!("{:?}", w.pre)),
+        fnv1a(&format!("{:?}", w.merged)),
+    )
+}
+
+/// Everything an analysis report decides, one line each: the pass
+/// count, every applied repair with its witness and resolution, and
+/// every flagged pair with its witness. Witness states enter as hashes
+/// of their `Debug` output, so a changed counter-example state shows.
+fn fingerprint(report: &ipa::analysis::AnalysisReport) -> Vec<String> {
+    let mut out = vec![format!("iterations {}", report.iterations)];
+    for a in &report.applied {
+        let detail = format!(" => {}", a.resolution);
+        out.push(witness_line("applied", &a.witness, &detail));
+    }
+    for f in &report.flagged {
+        out.push(witness_line("flagged", &f.witness, ""));
+    }
+    out
+}
+
+#[test]
+fn analysis_reports_match_their_pinned_fingerprints() {
+    // Taken before the pair queries switched to one parameter
+    // instantiation per symmetry class: the reduction must leave every
+    // report bit-identical, down to the counter-example states.
+    let cases: [(AppSpec, &[&str]); 4] = [
+        (
+            tournament_spec(),
+            &[
+                "iterations 6",
+                "applied rem_tourn(Tournament#1) ∥ enroll(Player#1, Tournament#1) => extend enroll with tournament(t) := true (enroll prevails) pre=3a02e20c448b205e merged=3b7b7c158bbb9cc0",
+                "applied rem_tourn(Tournament#1) ∥ begin_tourn(Tournament#1) => extend rem_tourn with active(t) := false (rem_tourn prevails) pre=12cc1d9eb1e196bf merged=65cd9331df0c97c3",
+                "applied rem_tourn(Tournament#1) ∥ finish_tourn(Tournament#1) => extend finish_tourn with tournament(t) := true (finish_tourn prevails) pre=12cc1d9eb1e196bf merged=dea59ae8c2c98bdd",
+                "applied disenroll(Player#1, Tournament#1) ∥ do_match(Player#1, Player#1, Tournament#1) => extend do_match with enrolled(p, t) := true, enrolled(q, t) := true (do_match prevails) pre=237581ce75c6f16c merged=cdf5025167fbb03c",
+                "flagged rem_tourn(Tournament#1) ∥ do_match(Player#1, Player#1, Tournament#1) pre=8aa04dd133027e6f merged=dc96f2304955a96f",
+            ],
+        ),
+        (
+            twitter_spec(false),
+            &[
+                "iterations 3",
+                "applied rem_user(User#1) ∥ follow(User#1, User#1) => extend follow with user(a) := true, user(b) := true (follow prevails) pre=04a72f7cd0ae416c merged=6279178b0f2ce9e8",
+                "applied retweet(Tweet#1, User#1) ∥ del_tweet(Tweet#1) => extend retweet with tweet(t) := true (retweet prevails) pre=84633158e84a446a merged=a47ec1e8912d086c",
+            ],
+        ),
+        (ticket_spec(), &["iterations 1"]),
+        (
+            tpc_spec(),
+            &[
+                "iterations 3",
+                "applied rem_product(Product#1) ∥ purchase(Order#1, Product#1) => extend purchase with product(p) := true (purchase prevails) pre=1099773cb3048359 merged=b26a6a991e4042bc",
+                "flagged purchase(Order#1, Product#1) ∥ purchase(Order#1, Product#1) pre=ce195e01d550e456 merged=6815040971ee3af3",
+            ],
+        ),
+    ];
+    for (spec, pinned) in cases {
+        let got = fingerprint(&analyze(&spec));
+        assert_eq!(got, pinned, "{}: report fingerprint moved", spec.name);
+    }
+}
