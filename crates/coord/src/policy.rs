@@ -5,7 +5,7 @@
 //! a policy choice into a running backend.
 //!
 //! Before this module each consumer spelled the choice differently —
-//! `reservation::Mode` in the coordinator, per-op string matching in the
+//! a mode enum in the reservation coordinator, per-op string matching in the
 //! applications, prose in the analysis plan. One typed enum now flows
 //! from static analysis ([`crate::coordination_plan`]) through backend
 //! construction to per-operation acquisition, so a plan entry maps 1:1
@@ -17,8 +17,7 @@ use ipa_sim::Region;
 use std::fmt;
 
 /// How a lock-style reservation is held (Indigo's multi-level locks,
-/// reduced to the two levels its evaluation exercises). Replaces the
-/// old `reservation::Mode` name.
+/// reduced to the two levels its evaluation exercises).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LockMode {
     /// Many replicas may hold simultaneously (e.g. "may enroll players").

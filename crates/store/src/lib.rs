@@ -37,8 +37,8 @@ pub use cluster::Cluster;
 pub use errors::StoreError;
 pub use key::Key;
 pub use replica::{
-    anti_entropy_fixpoint_with, anti_entropy_round, anti_entropy_round_with, AeCursors,
-    ApplyDispatch, Replica, ReplicaStats, ShardStats, DEFAULT_SHARDS, PARALLEL_APPLY_MIN_UPDATES,
+    anti_entropy_fixpoint_with, anti_entropy_round, anti_entropy_round_with, AeCursors, Replica,
+    ReplicaStats, ShardStats, DEFAULT_SHARDS, PARALLEL_APPLY_MIN_UPDATES,
 };
 pub use schedule::{CausalItem, DeliveryFaults, Schedule, ScheduleReport};
 pub use shared::SharedReplica;

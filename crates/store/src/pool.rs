@@ -1,5 +1,5 @@
 //! Persistent shard-worker pool: the dispatch engine behind
-//! [`crate::replica::ApplyDispatch::Pool`].
+//! [`crate::Replica::set_parallel_apply`].
 //!
 //! One long-lived worker thread per shard. A dispatch hands each
 //! non-empty shard a [`Job`] over its own bounded channel, then the
@@ -98,10 +98,10 @@ fn worker_loop(rx: Receiver<Job>, completion: Arc<Completion>) {
 
 impl ShardPool {
     /// Spawn one worker per shard. Workers live until the pool drops
-    /// (replica drop, or an [`ApplyDispatch`] mode change tearing the
-    /// pool down).
+    /// (replica drop, or [`Replica::set_parallel_apply`]`(false)` tearing
+    /// the pool down).
     ///
-    /// [`ApplyDispatch`]: crate::replica::ApplyDispatch
+    /// [`Replica::set_parallel_apply`]: crate::Replica::set_parallel_apply
     pub(crate) fn new(shards: usize) -> ShardPool {
         let completion = Arc::new(Completion {
             remaining: AtomicUsize::new(0),

@@ -16,7 +16,7 @@
 //! apply shards in fixed index order, the threaded transport hands wide
 //! batches to a **persistent shard-worker pool** — one long-lived thread
 //! per shard, fed over bounded channels with park/unpark completion
-//! ([`Replica::set_parallel_apply`], [`ApplyDispatch`]) — both produce
+//! ([`Replica::set_parallel_apply`]) — both produce
 //! identical state, logs, and counters, because shards are disjoint by
 //! construction and the dispatcher blocks until every worker finishes.
 
@@ -91,14 +91,19 @@ pub struct ReplicaStats {
     /// without recomputing (no clock advanced since the last fold).
     pub frontier_cache_hits: u64,
     /// Batches handed to the persistent shard-worker pool (wide batches
-    /// under [`ApplyDispatch::Pool`]; narrow batches apply inline and are
-    /// not counted here). Deterministic given the delivered batch
+    /// under [`Replica::set_parallel_apply`]; narrow batches apply inline
+    /// and are not counted here). Deterministic given the delivered batch
     /// sequence — CI guards this, never wall-clock.
     pub pool_batches: u64,
     /// Per-shard jobs dispatched to pool workers (one per non-empty
     /// shard per pool batch), so `pool_dispatches / pool_batches` is the
     /// mean shard fan-out.
     pub pool_dispatches: u64,
+    /// Shard-worker threads started for the pool: `shards` each time the
+    /// pool is (re)built, never per batch. A replica that keeps its pool
+    /// reads exactly its shard count however many batches it applied —
+    /// CI holds the benchmark's pool run to that.
+    pub pool_workers_started: u64,
 }
 
 /// Per-shard apply counters: deterministic functions of the delivered
@@ -117,8 +122,8 @@ pub struct ShardStats {
     pub max_batch_runs: u64,
     /// Most same-key runs a single *pool-dispatched* batch ever queued on
     /// this shard — the worker-queue depth high-water mark. Zero unless
-    /// this replica ran [`ApplyDispatch::Pool`] over wide batches; CI
-    /// guards its cross-shard balance.
+    /// this replica ran pool dispatch over wide batches; CI guards its
+    /// cross-shard balance.
     pub pool_queued_hwm: u64,
 }
 
@@ -140,7 +145,7 @@ pub const DEFAULT_SHARDS: usize = 4;
 
 /// Batches below this update count apply inline (sequentially) even when
 /// pool dispatch is enabled. Sized from measurement, not folklore: on
-/// the reference runner the legacy scoped spawn+join dispatch cost
+/// the reference runner the retired scoped spawn+join dispatch cost
 /// ≈130 µs per wide batch at 4 shards (the old floor of 256 updates was
 /// sized to amortize exactly that), while the pool's channel-send +
 /// park/unpark handoff measures ≈5 µs per dispatched batch in steady
@@ -152,25 +157,6 @@ pub const DEFAULT_SHARDS: usize = 4;
 /// pool's shard parallelism can pay for itself. Hence 64 — a 4× lower
 /// floor than the spawn-era value.
 pub const PARALLEL_APPLY_MIN_UPDATES: usize = 64;
-
-/// How a replica applies the per-shard runs of a wide batch. Narrow
-/// batches (under [`PARALLEL_APPLY_MIN_UPDATES`]) always apply inline in
-/// fixed shard order, whatever the mode.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ApplyDispatch {
-    /// Fixed sequential shard order — what deterministic transports use.
-    #[default]
-    Sequential,
-    /// Spawn-and-join one scoped thread per non-empty shard, per batch.
-    /// This is the legacy dispatch the pool replaced; it is kept so the
-    /// replication benchmark can report an honest same-code-path A/B of
-    /// pool handoff versus per-batch spawn cost.
-    SpawnPerBatch,
-    /// Persistent shard-worker pool: long-lived worker per shard,
-    /// bounded-channel handoff, park/unpark completion. What
-    /// [`Replica::set_parallel_apply`] enables.
-    Pool,
-}
 
 /// Deterministic shard assignment: FNV-1a over the key bytes. `HashMap`'s
 /// SipHash is randomly seeded per process, so it cannot place keys — the
@@ -349,14 +335,14 @@ pub struct Replica {
     run_scratch: Vec<(u32, u32, u32)>,
     /// Per-batch runs-per-shard scratch (the apply-queue depths).
     shard_run_counts: Vec<u32>,
-    /// How wide batches dispatch their per-shard runs. Only the threaded
-    /// transport moves off [`ApplyDispatch::Sequential`]; the
+    /// Whether wide batches dispatch their per-shard runs to the worker
+    /// pool. Only the threaded transport turns this on; the
     /// deterministic sim and the sync cluster keep the fixed sequential
     /// shard order.
-    dispatch: ApplyDispatch,
+    parallel_apply: bool,
     /// The persistent worker pool, spawned lazily on the first wide batch
-    /// under [`ApplyDispatch::Pool`] and torn down when the mode changes
-    /// (or the replica drops).
+    /// under parallel apply and torn down when it is switched off (or the
+    /// replica drops).
     pool: Option<crate::pool::ShardPool>,
     /// Remote batches waiting for causal predecessors, indexed by
     /// `(origin, seq)` for O(1) duplicate detection. `pending_order`
@@ -432,7 +418,7 @@ impl Replica {
             shards: (0..shards).map(|_| ShardTable::default()).collect(),
             run_scratch: Vec::new(),
             shard_run_counts: vec![0; shards],
-            dispatch: ApplyDispatch::Sequential,
+            parallel_apply: false,
             pool: None,
             pending: HashMap::new(),
             pending_order: Vec::new(),
@@ -472,40 +458,25 @@ impl Replica {
         self.shards.iter().map(|s| s.stats).collect()
     }
 
-    /// Enable or disable pool dispatch for wide batches (`on` maps to
-    /// [`ApplyDispatch::Pool`], `off` to [`ApplyDispatch::Sequential`]).
-    /// Only the threaded transport turns this on; deterministic
-    /// transports keep the fixed sequential shard order. Either way the
-    /// resulting state and counters are identical — shards are disjoint.
+    /// Enable or disable pool dispatch for wide batches (those of at
+    /// least [`PARALLEL_APPLY_MIN_UPDATES`] updates; narrow batches always
+    /// apply inline). Only the threaded transport turns this on;
+    /// deterministic transports keep the fixed sequential shard order.
+    /// Either way the resulting state and counters are identical — shards
+    /// are disjoint. Switching off tears the worker pool down (joining
+    /// its threads); switching back on re-spawns workers lazily on the
+    /// next wide batch, so toggling mid-stream is safe.
     pub fn set_parallel_apply(&mut self, on: bool) {
-        self.set_apply_dispatch(if on {
-            ApplyDispatch::Pool
-        } else {
-            ApplyDispatch::Sequential
-        });
-    }
-
-    /// Select how wide batches dispatch their per-shard runs. Leaving
-    /// [`ApplyDispatch::Pool`] tears the worker pool down (joining its
-    /// threads); returning to it re-spawns workers lazily on the next
-    /// wide batch — so toggling mid-stream is safe and observable state
-    /// never depends on the mode.
-    pub fn set_apply_dispatch(&mut self, dispatch: ApplyDispatch) {
-        self.dispatch = dispatch;
-        if dispatch != ApplyDispatch::Pool {
+        self.parallel_apply = on;
+        if !on {
             self.pool = None;
         }
     }
 
-    /// The current wide-batch dispatch mode.
-    pub fn apply_dispatch(&self) -> ApplyDispatch {
-        self.dispatch
-    }
-
     /// Whether the persistent worker pool is currently spawned (it is
-    /// lazy: `false` until the first wide batch under
-    /// [`ApplyDispatch::Pool`], and `false` again after a mode change
-    /// tears it down).
+    /// lazy: `false` until the first wide batch under parallel apply, and
+    /// `false` again after [`Replica::set_parallel_apply`]`(false)` tears
+    /// it down).
     pub fn pool_active(&self) -> bool {
         self.pool.is_some()
     }
@@ -788,51 +759,30 @@ impl Replica {
         let runs = &self.run_scratch;
         let counts = &self.shard_run_counts;
         let wide = nshards > 1 && updates.len() >= PARALLEL_APPLY_MIN_UPDATES;
-        match self.dispatch {
-            ApplyDispatch::Pool if wide => {
-                // Worker-queue depth high-water marks, recorded before
-                // dispatch (workers must not race on shard stats).
-                for (shard, &queued) in self.shards.iter_mut().zip(counts) {
-                    if u64::from(queued) > shard.stats.pool_queued_hwm {
-                        shard.stats.pool_queued_hwm = u64::from(queued);
-                    }
+        if self.parallel_apply && wide {
+            // Worker-queue depth high-water marks, recorded before
+            // dispatch (workers must not race on shard stats).
+            for (shard, &queued) in self.shards.iter_mut().zip(counts) {
+                if u64::from(queued) > shard.stats.pool_queued_hwm {
+                    shard.stats.pool_queued_hwm = u64::from(queued);
                 }
-                if self.pool.is_none() {
-                    self.pool = Some(crate::pool::ShardPool::new(nshards));
+            }
+            if self.pool.is_none() {
+                self.pool = Some(crate::pool::ShardPool::new(nshards));
+                self.stats.pool_workers_started += nshards as u64;
+            }
+            let pool = self.pool.as_ref().expect("pool just ensured");
+            let jobs = pool.dispatch(&mut self.shards, updates, runs, counts);
+            self.stats.pool_batches += 1;
+            self.stats.pool_dispatches += jobs;
+        } else {
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                if counts[s] == 0 {
+                    continue;
                 }
-                let pool = self.pool.as_ref().expect("pool just ensured");
-                let jobs = pool.dispatch(&mut self.shards, updates, runs, counts);
-                self.stats.pool_batches += 1;
-                self.stats.pool_dispatches += jobs;
-            }
-            ApplyDispatch::SpawnPerBatch if wide => {
-                // The legacy per-batch scoped-spawn dispatch, retained
-                // only so the replication benchmark can A/B the pool
-                // against the exact path it replaced.
-                std::thread::scope(|scope| {
-                    for (s, shard) in self.shards.iter_mut().enumerate() {
-                        if counts[s] == 0 {
-                            continue;
-                        }
-                        scope.spawn(move || {
-                            for &(rs, start, len) in runs {
-                                if rs as usize == s {
-                                    apply_run(shard, updates, start as usize, len as usize);
-                                }
-                            }
-                        });
-                    }
-                });
-            }
-            _ => {
-                for (s, shard) in self.shards.iter_mut().enumerate() {
-                    if counts[s] == 0 {
-                        continue;
-                    }
-                    for &(rs, start, len) in runs {
-                        if rs as usize == s {
-                            apply_run(shard, updates, start as usize, len as usize);
-                        }
+                for &(rs, start, len) in runs {
+                    if rs as usize == s {
+                        apply_run(shard, updates, start as usize, len as usize);
                     }
                 }
             }
@@ -1864,6 +1814,42 @@ mod tests {
             assert_eq!(a.table_lookups, b.table_lookups);
             assert_eq!(a.max_batch_runs, b.max_batch_runs);
         }
+    }
+
+    #[test]
+    fn pool_workers_start_once_per_pool() {
+        let mut origin = Replica::new(r(0));
+        for b in 0..3 {
+            let mut tx = origin.begin();
+            for i in 0..super::PARALLEL_APPLY_MIN_UPDATES {
+                let key = format!("w{b}-{i}");
+                tx.ensure(key.as_str(), ObjectKind::PNCounter).unwrap();
+                tx.counter_add(key.as_str(), 1).unwrap();
+            }
+            tx.commit();
+        }
+        let batches = origin.take_outbox();
+        let mut par = Replica::with_shards(r(1), 4);
+        par.set_parallel_apply(true);
+        par.receive(Arc::clone(&batches[0]));
+        par.receive(Arc::clone(&batches[1]));
+        assert_eq!(par.stats.pool_batches, 2);
+        assert_eq!(
+            par.stats.pool_workers_started, 4,
+            "one worker per shard, once"
+        );
+        par.set_parallel_apply(false);
+        par.set_parallel_apply(true);
+        par.receive(Arc::clone(&batches[2]));
+        assert_eq!(
+            par.stats.pool_workers_started, 8,
+            "a torn-down pool restarts"
+        );
+        let mut seq = Replica::with_shards(r(1), 4);
+        for b in &batches {
+            seq.receive(Arc::clone(b));
+        }
+        assert_eq!(seq.stats.pool_workers_started, 0);
     }
 
     #[test]
